@@ -13,9 +13,14 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: staticcheck when available (CI installs it), otherwise
-# fall back to go vet so the target works on a bare toolchain.
+# Static analysis: gofmt over the tracked sources (so gitignored build
+# trees are not scanned), then staticcheck when available (CI installs
+# it), otherwise go vet so the target works on a bare toolchain.
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo staticcheck ./...; staticcheck ./...; \
 	else \

@@ -715,3 +715,30 @@ func TestBlockMapSpansDiskSegments(t *testing.T) {
 	})
 	e.k.Stop()
 }
+
+// TestBlockMapWriteCopies pins the ownership rule the file system's
+// reused assembly buffer depends on: a write through the block map
+// copies the caller's buffer, so rewriting it afterwards changes nothing
+// on the device.
+func TestBlockMapWriteCopies(t *testing.T) {
+	e := newHL(t, 64, 8, 2, 16)
+	e.run(t, func(p *sim.Proc) {
+		bm := &blockMap{hl: e.hl}
+		at := e.hl.Amap.BlockOf(addr.SegNo(e.hl.Amap.DiskSegs()-1), 0)
+		want := pat(5, 4*lfs.BlockSize)
+		buf := append([]byte(nil), want...)
+		if err := bm.WriteBlocks(p, at, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		got := make([]byte, len(want))
+		if err := bm.ReadBlocks(p, at, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("block map write retained the caller's buffer")
+		}
+	})
+}

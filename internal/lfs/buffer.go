@@ -79,10 +79,65 @@ func (fs *FS) evictLocked() {
 	}
 }
 
+// dropBuf removes b from the cache and retires its data block. The block
+// is not reusable yet: the caller, or a caller up the stack, may still
+// hold b (evictLocked protects only the MRU head), so it waits on the
+// retired list until the next entry point's acquire.
 func (fs *FS) dropBuf(b *buf) {
 	fs.lruRemove(b)
 	delete(fs.bufs, b.key)
 	fs.bufBytes -= BlockSize
+	fs.retire(b.data)
+}
+
+// maxFreeBlocks caps the block free list, and with it the retired list
+// feeding it: a bound on the memory the recycler keeps beyond the cache
+// budget (256 blocks = 1 MB).
+const maxFreeBlocks = 256
+
+// retire queues a block buffer no cache entry references any more for
+// reuse after the current entry point. Blocks beyond the free-list cap are
+// left to the garbage collector.
+func (fs *FS) retire(data []byte) {
+	if len(fs.retired)+len(fs.free) < maxFreeBlocks {
+		fs.retired = append(fs.retired, data)
+	}
+}
+
+// acquire takes the file system lock for an entry point. It is also the
+// recycling safe point: every *buf an earlier entry point could hold died
+// with that call, so blocks retired since then join the free list.
+func (fs *FS) acquire(p *sim.Proc) {
+	fs.lock.Acquire(p)
+	fs.free = append(fs.free, fs.retired...)
+	clear(fs.retired)
+	fs.retired = fs.retired[:0]
+}
+
+// newBlock returns a zeroed BlockSize buffer, recycled from the free list
+// when one is available.
+func (fs *FS) newBlock() []byte {
+	n := len(fs.free)
+	if n == 0 {
+		return make([]byte, BlockSize)
+	}
+	b := fs.free[n-1]
+	fs.free[n-1] = nil
+	fs.free = fs.free[:n-1]
+	clear(b)
+	return b
+}
+
+// assembly returns the FS-owned staging buffer, n bytes long, in which a
+// partial segment is assembled (or a read cluster lands) before its one
+// large device transfer. The contents are unspecified. It is valid only
+// until the next assembly call; every device copies on write, so the
+// buffer never outlives the WriteBlocks call it was assembled for.
+func (fs *FS) assembly(n int) []byte {
+	if cap(fs.asm) < n {
+		fs.asm = make([]byte, n)
+	}
+	return fs.asm[:n]
 }
 
 // lookupBuf finds a cached block without touching the device.
@@ -126,9 +181,10 @@ func (fs *FS) markDirty(b *buf) {
 	}
 }
 
-// readBlockAt performs a timed device read of a single block.
+// readBlockAt performs a timed device read of a single block into a fresh
+// cache block.
 func (fs *FS) readBlockAt(p *sim.Proc, at addr.BlockNo) ([]byte, error) {
-	data := make([]byte, BlockSize)
+	data := fs.newBlock()
 	if err := fs.dev.ReadBlocks(p, at, data); err != nil {
 		return nil, err
 	}
@@ -146,7 +202,7 @@ func (fs *FS) getBlock(p *sim.Proc, inum uint32, lbn int32, at addr.BlockNo) (*b
 	}
 	var data []byte
 	if at == addr.NilBlock {
-		data = make([]byte, BlockSize)
+		data = fs.newBlock()
 	} else {
 		var err error
 		data, err = fs.readBlockAt(p, at)

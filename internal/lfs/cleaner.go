@@ -36,7 +36,7 @@ type InodeRef struct {
 // Bmapv reports, for each ref, whether it is the live instance of its
 // block (the lfs_bmapv system call of §6.7).
 func (fs *FS) Bmapv(p *sim.Proc, refs []BlockRef) ([]bool, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	out := make([]bool, len(refs))
 	for i, r := range refs {
@@ -181,7 +181,7 @@ func (fs *FS) cleanSegmentLocked(p *sim.Proc, seg addr.SegNo) (relocated int, er
 		if b, ok := fs.bufs[bufKey{r.Inum, r.Lbn}]; ok {
 			fs.markDirty(b)
 		} else {
-			data := make([]byte, BlockSize)
+			data := fs.newBlock()
 			copy(data, sc.BlockData(fs.amap, r.Addr))
 			nb := fs.insertBuf(r.Inum, r.Lbn, data, r.Addr, false)
 			fs.markDirty(nb)
@@ -227,7 +227,7 @@ func (fs *FS) markCleanLocked(seg addr.SegNo) {
 // CleanSegments cleans the given segments: relocates live data, flushes,
 // and marks them clean. It returns the number of blocks relocated.
 func (fs *FS) CleanSegments(p *sim.Proc, segs []addr.SegNo) (int, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	return fs.cleanSegmentsLocked(p, segs)
 }

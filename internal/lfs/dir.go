@@ -117,7 +117,7 @@ func (fs *FS) writeDirLocked(p *sim.Proc, ino *Inode, ents []Dirent) error {
 
 // Create makes a new empty regular file.
 func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	dir, name, err := fs.resolveParentLocked(p, path)
 	if err != nil {
@@ -143,7 +143,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 
 // Open opens an existing regular file.
 func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	inum, err := fs.resolveLocked(p, path)
 	if err != nil {
@@ -162,7 +162,7 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 // OpenInum opens a file by inode number (used by the migrator, which
 // enumerates the inode map rather than the namespace).
 func (fs *FS) OpenInum(p *sim.Proc, inum uint32) (*File, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	if _, err := fs.iget(p, inum); err != nil {
 		return nil, err
@@ -172,7 +172,7 @@ func (fs *FS) OpenInum(p *sim.Proc, inum uint32) (*File, error) {
 
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	dir, name, err := fs.resolveParentLocked(p, path)
 	if err != nil {
@@ -199,7 +199,7 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 
 // ReadDir lists a directory.
 func (fs *FS) ReadDir(p *sim.Proc, path string) ([]Dirent, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	inum, err := fs.resolveLocked(p, path)
 	if err != nil {
@@ -217,7 +217,7 @@ func (fs *FS) ReadDir(p *sim.Proc, path string) ([]Dirent, error) {
 
 // Remove deletes a file or an empty directory.
 func (fs *FS) Remove(p *sim.Proc, path string) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	dir, name, err := fs.resolveParentLocked(p, path)
 	if err != nil {
@@ -258,7 +258,7 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 
 // Rename moves a file or directory; the destination must not exist.
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	oldDir, oldName, err := fs.resolveParentLocked(p, oldPath)
 	if err != nil {
@@ -308,7 +308,7 @@ func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 
 // Stat describes the file or directory at path.
 func (fs *FS) Stat(p *sim.Proc, path string) (FileInfo, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	inum, err := fs.resolveLocked(p, path)
 	if err != nil {
@@ -321,7 +321,7 @@ func (fs *FS) Stat(p *sim.Proc, path string) (FileInfo, error) {
 // without updating access times — the property namespace-locality
 // migration policies rely on (§5.3).
 func (fs *FS) Walk(p *sim.Proc, root string, fn func(path string, fi FileInfo) error) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	inum, err := fs.resolveLocked(p, root)
 	if err != nil {

@@ -31,7 +31,7 @@ func (f *File) Inum() uint32 { return f.inum }
 
 // Size reports the current file size in bytes.
 func (f *File) Size(p *sim.Proc) (uint64, error) {
-	f.fs.lock.Acquire(p)
+	f.fs.acquire(p)
 	defer f.fs.lock.Release(p)
 	ino, err := f.fs.iget(p, f.inum)
 	if err != nil {
@@ -44,7 +44,7 @@ func (f *File) Size(p *sim.Proc) (uint64, error) {
 // file. Reads of tertiary-resident blocks block while their segment is
 // demand-fetched into the cache (transparently, via the device).
 func (f *File) ReadAt(p *sim.Proc, b []byte, off int64) (int, error) {
-	f.fs.lock.Acquire(p)
+	f.fs.acquire(p)
 	defer f.fs.lock.Release(p)
 	return f.fs.readAtLocked(p, f.inum, b, off)
 }
@@ -94,7 +94,7 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 			}
 			bf = fs.lookupBuf(inum, lbn)
 			if bf == nil {
-				panic("lfs: fillBlocks did not populate requested block")
+				return read, ErrBufferCacheFull
 			}
 		}
 		copy(b[read:read+want], bf.data[blkOff:blkOff+want])
@@ -121,7 +121,7 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) e
 	}
 	if start == addr.NilBlock {
 		// A hole: materialize a zero block without device I/O.
-		fs.insertBuf(ino.Inum, lbn, make([]byte, BlockSize), addr.NilBlock, false)
+		fs.insertBuf(ino.Inum, lbn, fs.newBlock(), addr.NilBlock, false)
 		return nil
 	}
 	fileEnd := int32(blocksFor(int(ino.Size)))
@@ -147,14 +147,14 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) e
 		}
 		count++
 	}
-	data := make([]byte, int(count)*BlockSize)
+	data := fs.assembly(int(count) * BlockSize)
 	if err := fs.dev.ReadBlocks(p, start, data); err != nil {
 		return err
 	}
 	fs.stats.DevReads++
 	fs.stats.BytesRead += int64(len(data))
 	for i := int32(0); i < count; i++ {
-		blk := make([]byte, BlockSize)
+		blk := fs.newBlock()
 		copy(blk, data[int(i)*BlockSize:])
 		fs.insertBuf(ino.Inum, lbn+i, blk, start+addr.BlockNo(i), false)
 	}
@@ -165,7 +165,7 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) e
 // Data are gathered in the buffer cache and appended to the log when a
 // segment's worth accumulates (or at Sync/Checkpoint).
 func (f *File) WriteAt(p *sim.Proc, b []byte, off int64) (int, error) {
-	f.fs.lock.Acquire(p)
+	f.fs.acquire(p)
 	defer f.fs.lock.Release(p)
 	return f.fs.writeAtLocked(p, f.inum, b, off)
 }
@@ -198,7 +198,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 				if err != nil {
 					return written, err
 				}
-				bf = fs.insertBuf(inum, lbn, make([]byte, BlockSize), a, false)
+				bf = fs.insertBuf(inum, lbn, fs.newBlock(), a, false)
 			}
 		} else {
 			bf = fs.lookupBuf(inum, lbn)
@@ -208,7 +208,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 					return written, err
 				}
 				if a == addr.NilBlock || uint64(lbn)*BlockSize >= ino.Size {
-					bf = fs.insertBuf(inum, lbn, make([]byte, BlockSize), a, false)
+					bf = fs.insertBuf(inum, lbn, fs.newBlock(), a, false)
 				} else {
 					bf, err = fs.getBlock(p, inum, lbn, a)
 					if err != nil {
@@ -239,7 +239,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 
 // Truncate sets the file size, freeing blocks beyond it.
 func (f *File) Truncate(p *sim.Proc, size uint64) error {
-	f.fs.lock.Acquire(p)
+	f.fs.acquire(p)
 	defer f.fs.lock.Release(p)
 	ino, err := f.fs.iget(p, f.inum)
 	if err != nil {
@@ -250,7 +250,7 @@ func (f *File) Truncate(p *sim.Proc, size uint64) error {
 
 // Stat describes the file.
 func (f *File) Stat(p *sim.Proc) (FileInfo, error) {
-	f.fs.lock.Acquire(p)
+	f.fs.acquire(p)
 	defer f.fs.lock.Release(p)
 	return f.fs.statLocked(p, f.inum)
 }

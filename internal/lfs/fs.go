@@ -48,6 +48,13 @@ var (
 	ErrNotEmpty   = errors.New("lfs: directory not empty")
 	ErrNoInodes   = errors.New("lfs: out of inodes")
 	ErrFileTooBig = errors.New("lfs: file too large")
+	// ErrBufferCacheFull is returned by a read whose blocks the buffer
+	// cache cannot hold because every other buffer is dirty; a Sync
+	// drains the dirty set.
+	ErrBufferCacheFull = errors.New("lfs: buffer cache full of dirty blocks")
+	// ErrCorrupt is returned by decoders for on-media structures that are
+	// malformed (truncated, or with counts that overrun their block).
+	ErrCorrupt = errors.New("lfs: corrupt on-media structure")
 )
 
 // Options configures a file system at format (and mount) time.
@@ -168,6 +175,11 @@ type FS struct {
 	dirtyBytes int
 	inodes     map[uint32]*Inode
 	dirtyIno   map[uint32]bool
+
+	// Recycled buffers; see acquire, newBlock and assembly.
+	retired [][]byte // blocks dropped since the last acquire
+	free    [][]byte // zeroable blocks ready for newBlock
+	asm     []byte   // partial-segment assembly buffer
 
 	cacheInUse  int  // disk segments currently holding cached tertiary lines
 	inFlush     bool // guards against recursive segment writes
@@ -364,7 +376,7 @@ func Mount(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error
 // fully serviceable — after the segment-cache directory is rebuilt, since
 // the walk may read directories resident on tertiary storage.
 func (fs *FS) RepairDangling(p *sim.Proc) (int, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	dropped, err := fs.repairDanglingLocked(p)
 	fs.recovery.DanglingDropped += dropped
@@ -579,7 +591,7 @@ func (fs *FS) writeCheckpointLocked(p *sim.Proc) error {
 
 // Checkpoint flushes all dirty state and writes a recovery checkpoint.
 func (fs *FS) Checkpoint(p *sim.Proc) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	return fs.checkpointLocked(p)
 }
@@ -597,7 +609,7 @@ func (fs *FS) Checkpoint(p *sim.Proc) error {
 // in the written tables; recovery heals that by recomputing the counts
 // from a namespace walk (RecomputeLiveBytes).
 func (fs *FS) CheckpointTables(p *sim.Proc) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	return fs.writeCheckpointLocked(p)
 }
@@ -644,7 +656,7 @@ func (fs *FS) RecomputeLiveBytes(p *sim.Proc) error {
 			account(e.Addr, InodeSize)
 		}
 	}
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	for s := range fs.seguse {
 		su := &fs.seguse[s]
@@ -667,7 +679,7 @@ func (fs *FS) RecomputeLiveBytes(p *sim.Proc) error {
 // then drains the device write cache: synced data must survive a crash
 // (roll-forward replays it from the log).
 func (fs *FS) Sync(p *sim.Proc) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	if err := fs.flushLocked(p, true); err != nil {
 		return err
@@ -795,7 +807,7 @@ func (fs *FS) allocSegmentLocked(p *sim.Proc) (addr.SegNo, error) {
 // AllocCacheSegmentLocked-style API for HighLight's segment cache: claim a
 // clean disk segment as a cache line for tertiary segment index tag.
 func (fs *FS) AllocCacheSegment(p *sim.Proc, tag uint32, staging bool) (addr.SegNo, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	if fs.cacheInUse >= int(fs.sb.CacheSegs) {
 		return 0, ErrNoSpace
@@ -827,7 +839,7 @@ func (fs *FS) AllocCacheSegment(p *sim.Proc, tag uint32, staging bool) (addr.Seg
 
 // ReleaseCacheSegment returns a cache line to the clean pool.
 func (fs *FS) ReleaseCacheSegment(p *sim.Proc, s addr.SegNo) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	su := &fs.seguse[s]
 	if su.Flags&SegCached == 0 {
@@ -1001,7 +1013,7 @@ func (fs *FS) Usage() Usage {
 // FlushCaches drops the clean contents of the buffer and inode caches
 // after writing out dirty state. Benchmarks use it to force cold reads.
 func (fs *FS) FlushCaches(p *sim.Proc) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	if err := fs.flushLocked(p, true); err != nil {
 		return err

@@ -32,7 +32,7 @@ func (fs *FS) CanGrow(n int) error {
 // caller must already have extended the device and the address map so that
 // the new segments are readable and classified as disk segments.
 func (fs *FS) GrowDisk(p *sim.Proc, n int) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	if err := fs.CanGrow(n); err != nil {
 		return err
@@ -57,7 +57,7 @@ func (fs *FS) GrowDisk(p *sim.Proc, n int) error {
 // having no storage. Cached tertiary lines in the range must be ejected by
 // the caller first; staging lines make the call fail.
 func (fs *FS) RetireSegments(p *sim.Proc, lo, hi addr.SegNo) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	if int(lo) < int(fs.sb.ReservedSegs) || int64(hi) > int64(len(fs.seguse)) || lo >= hi {
 		return fmt.Errorf("lfs: retire range [%d,%d) invalid", lo, hi)

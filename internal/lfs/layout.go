@@ -239,6 +239,33 @@ var crcTab = crc32.MakeTable(crc32.Castagnoli)
 // crc32Sum is the checksum used for summary and data verification.
 func crc32Sum(b []byte) uint32 { return crc32.Checksum(b, crcTab) }
 
+// Summary block layout sizes, in bytes: the fixed header, then one
+// address per inode block, then per FINFO a header plus one lbn per block.
+const (
+	summaryHeader  = 40
+	summaryInoAddr = 4
+	summaryFinfo   = 12
+	summaryLbn     = 4
+)
+
+// summaryFit reports how many of n consecutive blocks, owned by inum(i),
+// a summary with room bytes left can describe (a new FINFO opens whenever
+// the owner changes), and the room that leaves.
+func summaryFit(n, room int, inum func(i int) uint32) (fit, left int) {
+	for fit < n {
+		cost := summaryLbn
+		if fit == 0 || inum(fit) != inum(fit-1) {
+			cost += summaryFinfo
+		}
+		if cost > room {
+			break
+		}
+		room -= cost
+		fit++
+	}
+	return fit, room
+}
+
 // EncodeSummary serializes s into a BlockSize buffer, computing SumSum.
 // DataSum must already be set.
 func EncodeSummary(s *Summary, b []byte) error {
@@ -290,17 +317,22 @@ func EncodeSummary(s *Summary, b []byte) error {
 }
 
 // DecodeSummary parses a summary block, verifying magic and checksum.
+// Every malformed input — short, bad magic or checksum, or counts that
+// overrun the block — yields an error wrapping ErrCorrupt.
 func DecodeSummary(b []byte) (*Summary, error) {
-	if binary.LittleEndian.Uint32(b[0:]) != summaryMagic {
-		return nil, fmt.Errorf("lfs: bad summary magic %#x", binary.LittleEndian.Uint32(b[0:]))
+	if len(b) < summaryHeader {
+		return nil, fmt.Errorf("%w: summary block of %d bytes", ErrCorrupt, len(b))
+	}
+	if m := binary.LittleEndian.Uint32(b[0:]); m != summaryMagic {
+		return nil, fmt.Errorf("%w: bad summary magic %#x", ErrCorrupt, m)
 	}
 	s := &Summary{}
 	s.SumSum = binary.LittleEndian.Uint32(b[4:])
-	tmp := make([]byte, len(b))
-	copy(tmp, b)
-	binary.LittleEndian.PutUint32(tmp[4:], 0)
-	if got := crc32.Checksum(tmp, crcTab); got != s.SumSum {
-		return nil, fmt.Errorf("lfs: summary checksum mismatch (got %#x, want %#x)", got, s.SumSum)
+	// The checksum covers the block with its own field taken as zero.
+	var zero [4]byte
+	got := crc32.Update(crc32.Update(crc32.Checksum(b[:4], crcTab), crcTab, zero[:]), crcTab, b[8:])
+	if got != s.SumSum {
+		return nil, fmt.Errorf("%w: summary checksum mismatch (got %#x, want %#x)", ErrCorrupt, got, s.SumSum)
 	}
 	s.DataSum = binary.LittleEndian.Uint32(b[8:])
 	s.Next = addr.SegNo(binary.LittleEndian.Uint32(b[12:]))
@@ -310,22 +342,43 @@ func DecodeSummary(b []byte) (*Summary, error) {
 	s.Flags = binary.LittleEndian.Uint16(b[28:])
 	s.NBlocks = binary.LittleEndian.Uint16(b[30:])
 	s.Serial = binary.LittleEndian.Uint64(b[32:])
-	off := 40
-	for i := 0; i < ninos; i++ {
-		s.InoAddrs = append(s.InoAddrs, addr.BlockNo(binary.LittleEndian.Uint32(b[off:])))
-		off += 4
+	off := summaryHeader
+	overrun := func(what string) error {
+		return fmt.Errorf("%w: summary %s overruns the block (%d inode addrs, %d finfos)", ErrCorrupt, what, ninos, nfinfo)
 	}
-	for i := 0; i < nfinfo; i++ {
-		var f Finfo
+	if ninos > (len(b)-off)/summaryInoAddr {
+		return nil, overrun("inode addresses")
+	}
+	if ninos > 0 {
+		s.InoAddrs = make([]addr.BlockNo, ninos)
+	}
+	for i := range s.InoAddrs {
+		s.InoAddrs[i] = addr.BlockNo(binary.LittleEndian.Uint32(b[off:]))
+		off += summaryInoAddr
+	}
+	if nfinfo > (len(b)-off)/summaryFinfo {
+		return nil, overrun("finfos")
+	}
+	if nfinfo > 0 {
+		s.Finfos = make([]Finfo, nfinfo)
+	}
+	for i := range s.Finfos {
+		if len(b)-off < summaryFinfo {
+			return nil, overrun("finfos")
+		}
+		f := &s.Finfos[i]
 		f.Inum = binary.LittleEndian.Uint32(b[off:])
 		f.Version = binary.LittleEndian.Uint32(b[off+4:])
-		n := int(binary.LittleEndian.Uint32(b[off+8:]))
-		off += 12
-		for j := 0; j < n; j++ {
-			f.Lbns = append(f.Lbns, int32(binary.LittleEndian.Uint32(b[off:])))
-			off += 4
+		n := binary.LittleEndian.Uint32(b[off+8:])
+		off += summaryFinfo
+		if uint64(n) > uint64((len(b)-off)/summaryLbn) {
+			return nil, overrun("lbn list")
 		}
-		s.Finfos = append(s.Finfos, f)
+		f.Lbns = make([]int32, n)
+		for j := range f.Lbns {
+			f.Lbns[j] = int32(binary.LittleEndian.Uint32(b[off:]))
+			off += summaryLbn
+		}
 	}
 	return s, nil
 }

@@ -2,6 +2,8 @@ package lfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -71,6 +73,83 @@ func TestSummaryRejectsCorruption(t *testing.T) {
 			t.Errorf("corruption at byte %d accepted", off)
 		}
 	}
+}
+
+// resealSummary recomputes the checksum of a hand-edited summary block.
+func resealSummary(b []byte) {
+	binary.LittleEndian.PutUint32(b[4:], 0)
+	binary.LittleEndian.PutUint32(b[4:], crc32Sum(b))
+}
+
+// TestSummaryDecodeRejectsMalformed feeds DecodeSummary truncated blocks
+// and checksum-valid blocks whose counts overrun the block: each must be
+// refused with ErrCorrupt, never a panic.
+func TestSummaryDecodeRejectsMalformed(t *testing.T) {
+	s := &Summary{Next: 3, NBlocks: 4, InoAddrs: []addr.BlockNo{9},
+		Finfos: []Finfo{{Inum: 5, Version: 1, Lbns: []int32{0, 1}}}}
+	good := make([]byte, BlockSize)
+	if err := EncodeSummary(s, good); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{"empty": nil, "one byte": good[:1], "short header": good[:39]}
+	edit := func(name string, fn func(b []byte)) {
+		b := append([]byte(nil), good...)
+		fn(b)
+		resealSummary(b)
+		cases[name] = b
+	}
+	edit("ninos overrun", func(b []byte) { binary.LittleEndian.PutUint16(b[26:], 0xFFFF) })
+	edit("nfinfo overrun", func(b []byte) { binary.LittleEndian.PutUint16(b[24:], 0xFFFF) })
+	edit("lbn count overrun", func(b []byte) { binary.LittleEndian.PutUint32(b[summaryHeader+4+8:], 0xFFFFFFFF) })
+	for name, b := range cases {
+		if _, err := DecodeSummary(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	// The checksum covers the whole block, so a truncated copy fails it.
+	if _, err := DecodeSummary(good[:summaryHeader+4+12+8]); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated block: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzDecodeSummary: DecodeSummary never panics, and whatever it accepts
+// re-encodes to a summary that decodes to the same contents.
+func FuzzDecodeSummary(f *testing.F) {
+	for _, s := range []*Summary{
+		{NBlocks: 1},
+		{Next: 7, Create: 123, Serial: 9, NBlocks: 3, Flags: SumCheckpoint,
+			Finfos: []Finfo{{Inum: 5, Version: 1, Lbns: []int32{0, 1}}}},
+		{Next: 2, NBlocks: 6, Flags: SumStaging, InoAddrs: []addr.BlockNo{40, 41},
+			Finfos: []Finfo{{Inum: 4, Lbns: []int32{-1}}, {Inum: 6, Version: 3, Lbns: []int32{12, 13}}}},
+	} {
+		b := make([]byte, BlockSize)
+		if err := EncodeSummary(s, b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(b[:summaryHeader])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeSummary(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		re := make([]byte, BlockSize)
+		if err := EncodeSummary(s, re); err != nil {
+			return // valid in a longer buffer than one block
+		}
+		s2, err := DecodeSummary(re)
+		if err != nil {
+			t.Fatalf("re-encoded summary rejected: %v", err)
+		}
+		s.SumSum, s2.SumSum = 0, 0
+		if !reflect.DeepEqual(s, s2) {
+			t.Fatalf("round trip changed the summary:\n%+v\n%+v", s, s2)
+		}
+	})
 }
 
 func TestSummaryOverflowDetected(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // modelled I/O time — both matter: the first bounds simulation speed, the
 // second tracks the file system's I/O efficiency.
 
-func benchFS(b *testing.B) (*sim.Kernel, *FS) {
+func benchFS(b testing.TB) (*sim.Kernel, *FS) {
 	k := sim.NewKernel()
 	amap := addr.New(256, 256)
 	disk := dev.NewDisk(k, dev.RZ57, int64(256*256), nil)

@@ -24,7 +24,7 @@ import (
 // indirect blocks — with current addresses. Dirty state must be flushed
 // first so that every block has a media address; call Sync beforehand.
 func (fs *FS) FileBlockRefs(p *sim.Proc, inum uint32) ([]BlockRef, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	ino, err := fs.iget(p, inum)
 	if err != nil {
@@ -99,7 +99,7 @@ type MigrateResult struct {
 // call stages what fits and sets Full; the caller continues in a fresh
 // segment.
 func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSeg, cacheSeg addr.SegNo, off int) (*MigrateResult, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	res := &MigrateResult{Applied: make([]bool, len(refs)), NextOff: off, Consumed: len(refs)}
 
@@ -130,6 +130,16 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		live = append(live, item{i, r})
 	}
 	inoBlocks := (len(inodeInums) + InodesPerBlock - 1) / InodesPerBlock
+	// Stage no more blocks than one summary can describe; the caller
+	// resubmits the rest as a further partial segment at NextOff.
+	if fit, _ := summaryFit(len(live), BlockSize-summaryHeader-inoBlocks*summaryInoAddr,
+		func(i int) uint32 { return live[i].ref.Inum }); fit < len(live) {
+		res.Consumed = 0
+		if fit > 0 {
+			res.Consumed = live[fit-1].refIdx + 1
+		}
+		live = live[:fit]
+	}
 	avail := fs.amap.SegBlocks() - off - 1 // room after the summary
 	if avail < 1 {
 		res.Full = true
@@ -159,11 +169,15 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		return res, nil
 	}
 
+	// The staged image is assembled in place: summary block, then one
+	// block per live ref, then the inode blocks.
+	image := fs.assembly((1 + len(live) + inoBlocks) * BlockSize)
+	content := image[BlockSize:]
+
 	// Capture data content before any pointer moves. Batch contiguous
 	// source addresses into single device transfers (the migrator reads
 	// from the raw disk, §6.7 — these reads contend for the disk arm,
 	// Table 6).
-	contents := make([][]byte, len(live))
 	maxRun := fs.opts.GatherChunkBlocks
 	if maxRun <= 0 {
 		maxRun = 1 << 20
@@ -178,12 +192,9 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 			live[j].ref.Addr == live[i].ref.Addr+addr.BlockNo(j-i) {
 			j++
 		}
-		run := make([]byte, (j-i)*BlockSize)
+		run := content[i*BlockSize : j*BlockSize]
 		if err := fs.readRunLocked(p, live[i].ref, run); err != nil {
 			return res, err
-		}
-		for k := i; k < j; k++ {
-			contents[k] = run[(k-i)*BlockSize : (k-i+1)*BlockSize]
 		}
 		i = j
 	}
@@ -224,12 +235,12 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		if err != nil {
 			return res, err
 		}
+		slot := content[i*BlockSize : (i+1)*BlockSize]
 		if mb == nil {
+			clear(slot)
 			continue // vanished; leave Applied false
 		}
-		data := make([]byte, BlockSize)
-		copy(data, mb.data)
-		contents[i] = data
+		copy(slot, mb.data)
 		fs.setMetaPtr(p, ino, it.ref.Lbn, na)
 		fs.accountOld(it.ref.Addr, BlockSize)
 		fs.accountNew(na, BlockSize)
@@ -250,9 +261,7 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		Serial: fs.serial,
 		Flags:  SumStaging,
 	}
-	content := make([]byte, (len(live)+inoBlocks)*BlockSize)
-	for i, it := range live {
-		copy(content[i*BlockSize:], contents[i])
+	for _, it := range live {
 		if n := len(sum.Finfos); n > 0 && sum.Finfos[n-1].Inum == it.ref.Inum {
 			sum.Finfos[n-1].Lbns = append(sum.Finfos[n-1].Lbns, it.ref.Lbn)
 		} else {
@@ -261,6 +270,7 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	}
 	sorted := append([]uint32{}, inodeInums...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	clear(content[len(live)*BlockSize:])
 	for bi := 0; bi < inoBlocks; bi++ {
 		na := base + addr.BlockNo(1+len(live)+bi)
 		sum.InoAddrs = append(sum.InoAddrs, na)
@@ -287,11 +297,9 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	}
 	sum.NBlocks = uint16(1 + len(live) + inoBlocks)
 	sum.DataSum = crc32Sum(content)
-	image := make([]byte, BlockSize+len(content))
 	if err := EncodeSummary(sum, image[:BlockSize]); err != nil {
 		return res, err
 	}
-	copy(image[BlockSize:], content)
 
 	// Mirror the staged partial segment into the cache-line disk segment
 	// (assembled "on-disk in a dirty cache line", §6.2).
@@ -363,7 +371,7 @@ func (fs *FS) ReadRawBlocks(p *sim.Proc, a addr.BlockNo, buf []byte) error {
 // (used after migration so reads exercise the demand-fetch path, and by
 // benchmarks forcing cold caches).
 func (fs *FS) DropFileBuffers(p *sim.Proc, inum uint32) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	var victims []*buf
 	for _, b := range fs.bufs {

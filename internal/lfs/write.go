@@ -81,6 +81,9 @@ func (fs *FS) dirtyParents(p *sim.Proc) error {
 		if len(todo) == 0 {
 			return nil
 		}
+		// Loading a parent can touch the device, so the visit order is
+		// virtual time: fix it independently of map iteration order.
+		sort.Slice(todo, func(i, j int) bool { return less(todo[i], todo[j]) })
 		for _, k := range todo {
 			seen[k] = true
 			pl := parentLbn(k.lbn)
@@ -126,7 +129,9 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 	fs.inFlush = true
 	defer func() { fs.inFlush = false }()
 
-	// Plan: fill segments greedily; inode blocks come last.
+	// Plan: fill segments greedily; inode blocks come last. A partial
+	// segment also closes when its summary block is full, so a flush
+	// touching many files never overflows EncodeSummary.
 	var plans []psegPlan
 	seg, off := fs.curSeg, fs.curOff
 	chosen := map[addr.SegNo]bool{}
@@ -148,6 +153,8 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 		if take > avail {
 			take = avail
 		}
+		take, room := summaryFit(take, BlockSize-summaryHeader,
+			func(i int) uint32 { return blocks[bi+i].key.inum })
 		pl.bufs = blocks[bi : bi+take]
 		bi += take
 		avail -= take
@@ -155,6 +162,9 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 			n := inosLeft
 			if n > avail {
 				n = avail
+			}
+			if n > room/summaryInoAddr {
+				n = room / summaryInoAddr
 			}
 			pl.inoBlocks = n
 			inosLeft -= n
@@ -232,7 +242,10 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 		} else if haveNext {
 			sum.Next = nextSeg
 		}
-		content := make([]byte, (len(pl.bufs)+pl.inoBlocks)*BlockSize)
+		// Assemble summary and content in place: the summary block
+		// first, then the content blocks the summary describes.
+		out := fs.assembly((1 + len(pl.bufs) + pl.inoBlocks) * BlockSize)
+		content := out[BlockSize:]
 		for i, b := range pl.bufs {
 			na := base + addr.BlockNo(1+i)
 			ino := fs.inodes[b.key.inum]
@@ -256,6 +269,7 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 			}
 		}
 		// Serialize inodes into the trailing inode blocks.
+		clear(content[len(pl.bufs)*BlockSize:])
 		for ib := 0; ib < pl.inoBlocks; ib++ {
 			na := base + addr.BlockNo(1+len(pl.bufs)+ib)
 			sum.InoAddrs = append(sum.InoAddrs, na)
@@ -281,11 +295,9 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 			}
 		}
 		sum.DataSum = crc32Sum(content)
-		out := make([]byte, BlockSize+len(content))
 		if err := EncodeSummary(sum, out[:BlockSize]); err != nil {
 			return err
 		}
-		copy(out[BlockSize:], content)
 		fs.chargeCopy(p, len(out), fs.opts.AssemblyCopyRate)
 		if err := fs.dev.WriteBlocks(p, base, out); err != nil {
 			return err

@@ -10,7 +10,9 @@ package stripe
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/dev"
 	"repro/internal/obs/reqtrace"
@@ -163,6 +165,34 @@ type op struct {
 	blk     int64
 	buf     []byte
 	scatter [][]byte
+	bounced bool // buf is a pooled bounce buffer; see releaseOps
+}
+
+// bouncePools recycle coalescing bounce buffers across requests, one pool
+// per power-of-two capacity class. Every component device copies on write
+// and a read's bounce buffer is scattered back before release, so no
+// device retains one.
+var bouncePools [bits.UintSize]sync.Pool
+
+// getBounce returns an n-byte buffer (n > 0) from the pools.
+func getBounce(n int) []byte {
+	c := bits.Len(uint(n - 1))
+	if v, ok := bouncePools[c].Get().(*[]byte); ok {
+		return (*v)[:n]
+	}
+	return make([]byte, n, 1<<c)
+}
+
+// releaseOps returns ops' bounce buffers to the pools once the component
+// has finished with them.
+func releaseOps(ops []op) {
+	for i := range ops {
+		if o := &ops[i]; o.bounced {
+			b := o.buf[:cap(o.buf)]
+			bouncePools[bits.Len(uint(len(b)-1))].Put(&b)
+			o.buf, o.bounced = nil, false
+		}
+	}
 }
 
 // coalesce merges physically adjacent transfers of one component into
@@ -194,11 +224,12 @@ func coalesce(g []op, write bool) []op {
 		for _, part := range o.scatter {
 			total += len(part)
 		}
-		bounce := make([]byte, 0, total)
+		bounce := getBounce(total)
+		off := 0
 		for _, part := range o.scatter {
-			bounce = append(bounce, part...)
+			off += copy(bounce[off:], part)
 		}
-		o.buf = bounce
+		o.buf, o.bounced = bounce, true
 		if write {
 			o.scatter = nil // the gather copy above is all a write needs
 		}
@@ -286,6 +317,17 @@ func fanoutAll(p *sim.Proc, name string, tasks []func(*sim.Proc) error) []error 
 	return errs
 }
 
+// componentTask coalesces one component's ops and returns the task that
+// issues them and then releases their bounce buffers.
+func componentTask(g []op, write bool) func(*sim.Proc) error {
+	g = coalesce(g, write)
+	return func(cp *sim.Proc) error {
+		err := runOps(cp, g, write)
+		releaseOps(g)
+		return err
+	}
+}
+
 // dispatch executes per-component op lists through fanout, coalescing
 // each component's adjacent transfers first.
 func dispatch(p *sim.Proc, name string, groups [][]op, write bool) error {
@@ -294,8 +336,7 @@ func dispatch(p *sim.Proc, name string, groups [][]op, write bool) error {
 		if len(g) == 0 {
 			continue
 		}
-		g := coalesce(g, write)
-		tasks[i] = func(cp *sim.Proc) error { return runOps(cp, g, write) }
+		tasks[i] = componentTask(g, write)
 	}
 	return dispatchTasks(p, name, tasks, write)
 }
@@ -307,8 +348,7 @@ func dispatchAll(p *sim.Proc, name string, groups [][]op, write bool) []error {
 		if len(g) == 0 {
 			continue
 		}
-		g := coalesce(g, write)
-		tasks[i] = func(cp *sim.Proc) error { return runOps(cp, g, write) }
+		tasks[i] = componentTask(g, write)
 	}
 	kind := ".read"
 	if write {
