@@ -415,7 +415,8 @@ func (hl *HighLight) stageInodes(p *sim.Proc, inums []uint32) error {
 
 // MigrateFiles migrates whole files — every data and indirect block, and
 // (when migrateInodes is set) the inodes themselves — to tertiary storage.
-// The files' dirty state is synced first so every block is stable.
+// The files' dirty state is synced first so every block is stable. A file
+// removed before its turn (the caller's list may be stale) is skipped.
 func (hl *HighLight) MigrateFiles(p *sim.Proc, inums []uint32, migrateInodes bool) (int64, error) {
 	t0 := p.Now()
 	var staged int64
@@ -441,6 +442,9 @@ func (hl *HighLight) MigrateFiles(p *sim.Proc, inums []uint32, migrateInodes boo
 			continue
 		}
 		refs, err := hl.FS.FileBlockRefs(p, inum)
+		if errors.Is(err, lfs.ErrNotFound) {
+			continue // removed while earlier files were staged
+		}
 		if err != nil {
 			return staged, err
 		}

@@ -203,8 +203,9 @@ type Disk struct {
 	arm     *sim.Resource
 	bus     *Bus
 	head    int64 // current arm position, in blocks
-	store   map[int64][]byte
 	stats   DiskStats
+
+	media media // the durable image on the platter
 
 	wcap   int              // write-cache capacity in blocks; 0 = write-through
 	wdirty map[int64][]byte // cached-but-not-durable blocks
@@ -234,7 +235,7 @@ func NewDisk(k *sim.Kernel, prof DiskProfile, nblocks int64, bus *Bus) *Disk {
 		nblocks: nblocks,
 		arm:     k.NewResource(prof.Name + ".arm"),
 		bus:     bus,
-		store:   make(map[int64][]byte),
+		media:   newMedia(nblocks),
 	}
 }
 
@@ -264,12 +265,7 @@ func (d *Disk) WriteCacheDirty() int { return len(d.worder) }
 // applyMedia makes one block durable on the platter and notifies the
 // media-write observer.
 func (d *Disk) applyMedia(blk int64, data []byte) {
-	blkbuf, ok := d.store[blk]
-	if !ok {
-		blkbuf = make([]byte, BlockSize)
-		d.store[blk] = blkbuf
-	}
-	copy(blkbuf, data)
+	d.media.put(blk, data)
 	if d.OnMediaWrite != nil {
 		d.OnMediaWrite(blk)
 	}
@@ -321,26 +317,27 @@ func (d *Disk) Flush(p *sim.Proc) error {
 }
 
 // SnapshotStore returns a deep copy of the *durable* media image: what a
-// power cut at this instant would preserve. Blocks still in the volatile
-// write cache are deliberately excluded.
+// power cut at this instant would preserve, keyed by block number and
+// holding every block ever written. Blocks still in the volatile write
+// cache are deliberately excluded.
 func (d *Disk) SnapshotStore() map[int64][]byte {
-	out := make(map[int64][]byte, len(d.store))
-	for blk, data := range d.store {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		out[blk] = cp
-	}
+	out := make(map[int64][]byte, d.media.count())
+	d.media.each(func(blk int64, data []byte) {
+		out[blk] = append([]byte(nil), data...)
+	})
 	return out
 }
 
-// RestoreStore replaces the media image with a deep copy of m and empties
-// the write cache — the disk as it comes back after a power cut.
+// RestoreStore replaces the media image with a copy of m and empties the
+// write cache — the disk as it comes back after a power cut. Every key of
+// m must be a block of this disk.
 func (d *Disk) RestoreStore(m map[int64][]byte) {
-	d.store = make(map[int64][]byte, len(m))
+	d.media = newMedia(d.nblocks)
 	for blk, data := range m {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		d.store[blk] = cp
+		if blk < 0 || blk >= d.nblocks {
+			panic(fmt.Sprintf("dev: %s: restored block %d out of range [0,%d)", d.prof.Name, blk, d.nblocks))
+		}
+		d.media.put(blk, data)
 	}
 	d.wdirty = make(map[int64][]byte)
 	d.worder = nil
@@ -437,15 +434,13 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 			// Read-your-writes: the volatile cache holds the newest copy.
 			src, ok := d.wdirty[blk+i]
 			if !ok {
-				src, ok = d.store[blk+i]
+				src = d.media.block(blk+i, false)
 			}
 			dst := chunk[i*BlockSize : (i+1)*BlockSize]
-			if ok {
+			if src != nil {
 				copy(dst, src)
 			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
+				clear(dst)
 			}
 		}
 		d.head = blk + nb

@@ -1,7 +1,9 @@
 package lfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/sim"
@@ -79,11 +81,13 @@ func (fs *FS) evictLocked() {
 	}
 }
 
-// dropBuf removes b from the cache and retires its data block. The block
-// is not reusable yet: the caller, or a caller up the stack, may still
-// hold b (evictLocked protects only the MRU head), so it waits on the
-// retired list until the next entry point's acquire.
+// dropBuf removes b from the cache, discarding any unwritten update, and
+// retires its data block. The block is not reusable yet: the caller, or a
+// caller up the stack, may still hold b (evictLocked protects only the MRU
+// head), so it waits on the retired list until the next entry point's
+// acquire.
 func (fs *FS) dropBuf(b *buf) {
+	fs.markClean(b)
 	fs.lruRemove(b)
 	delete(fs.bufs, b.key)
 	fs.bufBytes -= BlockSize
@@ -158,26 +162,35 @@ func (fs *FS) insertBuf(inum uint32, lbn int32, data []byte, at addr.BlockNo, di
 	key := bufKey{inum, lbn}
 	if old, ok := fs.bufs[key]; ok {
 		fs.dropBuf(old)
-		if old.dirty {
-			fs.dirtyBytes -= BlockSize
-		}
 	}
-	b := &buf{key: key, data: data, addr: at, dirty: dirty}
+	b := &buf{key: key, data: data, addr: at}
 	fs.bufs[key] = b
 	fs.bufBytes += BlockSize
 	if dirty {
-		fs.dirtyBytes += BlockSize
+		fs.markDirty(b)
 	}
 	fs.lruFront(b)
 	fs.evictLocked()
 	return b
 }
 
-// markDirty flags a buffer for the next segment write.
+// markDirty flags a buffer for the next segment write. fs.dirty indexes
+// exactly the buffers with dirty set: markDirty and markClean are the
+// only writers of the flag, so the segment writer visits dirty buffers
+// without scanning the whole cache.
 func (fs *FS) markDirty(b *buf) {
 	if !b.dirty {
 		b.dirty = true
-		fs.dirtyBytes += BlockSize
+		fs.dirty[b.key] = b
+	}
+}
+
+// markClean clears a buffer's dirty flag: its content is on media, or
+// is being discarded.
+func (fs *FS) markClean(b *buf) {
+	if b.dirty {
+		b.dirty = false
+		delete(fs.dirty, b.key)
 	}
 }
 
@@ -216,10 +229,7 @@ func (fs *FS) getBlock(p *sim.Proc, inum uint32, lbn int32, at addr.BlockNo) (*b
 // dirtyList returns the dirty buffers partitioned into data (lbn >= 0) and
 // meta (lbn < 0) sets, each sorted for deterministic layout.
 func (fs *FS) dirtyList() (data, meta []*buf) {
-	for _, b := range fs.bufs {
-		if !b.dirty {
-			continue
-		}
+	for _, b := range fs.dirty {
 		if b.key.lbn >= 0 {
 			data = append(data, b)
 		} else {
@@ -231,28 +241,24 @@ func (fs *FS) dirtyList() (data, meta []*buf) {
 	return data, meta
 }
 
+// sortBufs orders buffers by inum, then lbn ascending (meta lbns are
+// negative; more deeply nested blocks have lower lbns and sort first,
+// which is harmless since addresses are pre-assigned).
 func sortBufs(bs []*buf) {
-	// Insertion-friendly ordering: by inum, then lbn ascending (meta
-	// lbns are negative; more deeply nested blocks have lower lbns and
-	// sort first, which is harmless since addresses are pre-assigned).
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && less(bs[j].key, bs[j-1].key); j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
+	slices.SortFunc(bs, func(a, b *buf) int { return cmpKey(a.key, b.key) })
 }
 
-func less(a, b bufKey) bool {
-	if a.inum != b.inum {
-		return a.inum < b.inum
+func cmpKey(a, b bufKey) int {
+	if c := cmp.Compare(a.inum, b.inum); c != 0 {
+		return c
 	}
-	return a.lbn < b.lbn
+	return cmp.Compare(a.lbn, b.lbn)
 }
 
 // DirtyBytes reports bytes of dirty data awaiting a segment write.
-func (fs *FS) DirtyBytes() int { return fs.dirtyBytes }
+func (fs *FS) DirtyBytes() int { return len(fs.dirty) * BlockSize }
 
 // String renders cache occupancy for debugging.
 func (fs *FS) cacheString() string {
-	return fmt.Sprintf("bufcache: %d/%d bytes, %d dirty", fs.bufBytes, fs.opts.BufferBytes, fs.dirtyBytes)
+	return fmt.Sprintf("bufcache: %d/%d bytes, %d dirty", fs.bufBytes, fs.opts.BufferBytes, fs.DirtyBytes())
 }

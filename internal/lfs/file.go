@@ -229,7 +229,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 	if fs.OnAccess != nil && ino.Type != TypeDir && written > 0 {
 		fs.OnAccess(inum, int32(off/BlockSize), int32((off+int64(written)-1)/BlockSize)+1, true)
 	}
-	if fs.dirtyBytes >= fs.opts.WriteThreshold {
+	if fs.DirtyBytes() >= fs.opts.WriteThreshold {
 		if err := fs.flushLocked(p, false); err != nil {
 			return written, err
 		}

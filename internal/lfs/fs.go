@@ -167,14 +167,14 @@ type FS struct {
 	nextInum  uint32
 	freeInums []uint32
 
-	bufs       map[bufKey]*buf
-	lastLbn    map[uint32]int32 // per-file last-read lbn (sequential detection)
-	lruHead    *buf             // most recent
-	lruTail    *buf
-	bufBytes   int
-	dirtyBytes int
-	inodes     map[uint32]*Inode
-	dirtyIno   map[uint32]bool
+	bufs     map[bufKey]*buf
+	lastLbn  map[uint32]int32 // per-file last-read lbn (sequential detection)
+	lruHead  *buf             // most recent
+	lruTail  *buf
+	bufBytes int
+	dirty    map[bufKey]*buf // the dirty subset of bufs; see markDirty
+	inodes   map[uint32]*Inode
+	dirtyIno map[uint32]bool
 
 	// Recycled buffers; see acquire, newBlock and assembly.
 	retired [][]byte // blocks dropped since the last acquire
@@ -224,6 +224,7 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 		opts:     opts,
 		lock:     p.Kernel().NewResource("lfs.lock"),
 		bufs:     make(map[bufKey]*buf),
+		dirty:    make(map[bufKey]*buf),
 		lastLbn:  make(map[uint32]int32),
 		inodes:   make(map[uint32]*Inode),
 		dirtyIno: make(map[uint32]bool),
@@ -312,6 +313,7 @@ func Mount(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error
 		opts:     opts,
 		lock:     p.Kernel().NewResource("lfs.lock"),
 		bufs:     make(map[bufKey]*buf),
+		dirty:    make(map[bufKey]*buf),
 		lastLbn:  make(map[uint32]int32),
 		inodes:   make(map[uint32]*Inode),
 		dirtyIno: make(map[uint32]bool),
@@ -1022,6 +1024,7 @@ func (fs *FS) FlushCaches(p *sim.Proc) error {
 		return err
 	}
 	fs.bufs = make(map[bufKey]*buf)
+	clear(fs.dirty)
 	fs.lruHead, fs.lruTail = nil, nil
 	fs.bufBytes = 0
 	fs.inodes = make(map[uint32]*Inode)

@@ -321,10 +321,6 @@ func (fs *FS) truncateLocked(p *sim.Proc, ino *Inode, size uint64) error {
 			}
 		}
 		if b, ok := fs.bufs[bufKey{ino.Inum, lbn}]; ok {
-			if b.dirty {
-				b.dirty = false
-				fs.dirtyBytes -= BlockSize
-			}
 			fs.dropBuf(b)
 		}
 	}
@@ -363,10 +359,6 @@ func (fs *FS) freeMeta(p *sim.Proc, ino *Inode, metaLbn int32) {
 		fs.accountOld(at, BlockSize)
 	}
 	if b, ok := fs.bufs[bufKey{ino.Inum, metaLbn}]; ok {
-		if b.dirty {
-			b.dirty = false
-			fs.dirtyBytes -= BlockSize
-		}
 		fs.dropBuf(b)
 	}
 	// Clear the parent pointer.

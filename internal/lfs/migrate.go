@@ -245,12 +245,9 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		fs.accountOld(it.ref.Addr, BlockSize)
 		fs.accountNew(na, BlockSize)
 		mb.addr = na
-		if mb.dirty {
-			// The staged copy includes every update; the disk log
-			// need not rewrite it.
-			mb.dirty = false
-			fs.dirtyBytes -= BlockSize
-		}
+		// The staged copy includes every update; the disk log need not
+		// rewrite it.
+		fs.markClean(mb)
 		res.Applied[it.refIdx] = true
 	}
 

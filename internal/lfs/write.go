@@ -2,7 +2,7 @@ package lfs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/sim"
@@ -73,8 +73,8 @@ func (fs *FS) dirtyParents(p *sim.Proc) error {
 	seen := make(map[bufKey]bool)
 	for {
 		var todo []bufKey
-		for k, b := range fs.bufs {
-			if b.dirty && !seen[k] {
+		for k := range fs.dirty {
+			if !seen[k] {
 				todo = append(todo, k)
 			}
 		}
@@ -83,7 +83,7 @@ func (fs *FS) dirtyParents(p *sim.Proc) error {
 		}
 		// Loading a parent can touch the device, so the visit order is
 		// virtual time: fix it independently of map iteration order.
-		sort.Slice(todo, func(i, j int) bool { return less(todo[i], todo[j]) })
+		slices.SortFunc(todo, cmpKey)
 		for _, k := range todo {
 			seen[k] = true
 			pl := parentLbn(k.lbn)
@@ -120,7 +120,7 @@ func (fs *FS) dirtyInums(data, meta []*buf) []uint32 {
 	for i := range set {
 		out = append(out, i)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -311,10 +311,7 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 		su.LiveBytes += BlockSize // the summary block itself
 		// Mark written blocks clean.
 		for _, b := range pl.bufs {
-			if b.dirty {
-				b.dirty = false
-				fs.dirtyBytes -= BlockSize
-			}
+			fs.markClean(b)
 		}
 	}
 	if haveNext {

@@ -1,13 +1,15 @@
 package migrate
 
 import (
+	"errors"
+	"time"
+
 	"repro/internal/addr"
 	"repro/internal/core"
 	"repro/internal/lfs"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
-	"time"
 )
 
 // Migrator is the user-level migration process (§6.7): a second cleaner
@@ -62,7 +64,8 @@ func NewMigrator(hl *core.HighLight) *Migrator {
 }
 
 // RunOnce selects candidates for targetBytes and migrates them, completing
-// all copyouts before returning.
+// all copyouts before returning. A candidate removed after Select (other
+// processes run while the migrator waits on I/O) is skipped.
 func (m *Migrator) RunOnce(p *sim.Proc, targetBytes int64) (int64, error) {
 	t0 := p.Now()
 	cands, err := m.Policy.Select(p, m.HL, targetBytes)
@@ -97,6 +100,9 @@ func (m *Migrator) RunOnce(p *sim.Proc, targetBytes int64) (int64, error) {
 		}
 		for _, c := range cands {
 			refs, err := br.ColdRefs(p, m.HL, c.Inum)
+			if errors.Is(err, lfs.ErrNotFound) {
+				continue // removed since Select
+			}
 			if err != nil {
 				return staged, err
 			}
@@ -118,6 +124,9 @@ func (m *Migrator) RunOnce(p *sim.Proc, targetBytes int64) (int64, error) {
 		}
 		for _, c := range cands {
 			segs, err := m.sourceSegments(p, c.Inum)
+			if errors.Is(err, lfs.ErrNotFound) {
+				continue // removed since Select
+			}
 			if err != nil {
 				return staged, err
 			}
